@@ -1,6 +1,6 @@
 #include "src/mem/phys_mem.h"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/base/bits.h"
@@ -10,6 +10,14 @@ namespace neve {
 
 PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes) {
   NEVE_CHECK_MSG(IsAligned(size_bytes, kPageSize), "size must be page aligned");
+  leaves_ = std::make_unique<std::atomic<Leaf*>[]>(num_leaves());
+}
+
+PhysMem::~PhysMem() {
+  DropAllPages();
+  for (uint64_t l = 0; l < num_leaves(); ++l) {
+    delete leaves_[l].load(std::memory_order_relaxed);
+  }
 }
 
 void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
@@ -21,49 +29,76 @@ void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
   NEVE_CHECK_MSG(pa.PageOffset() + bytes <= kPageSize, "access crosses page");
 }
 
-PhysMem::Page& PhysMem::PageFor(Pa pa) {
-  MutexLock lock(pages_mu_);
-  auto& slot = pages_[pa.PageIndex()];
-  if (slot == nullptr) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
+// Installs `fresh` into an empty slot unless another thread got there first;
+// returns whichever pointer the slot holds afterwards and frees the loser.
+template <typename T>
+static T* InstallOnce(std::atomic<T*>& slot, std::unique_ptr<T> fresh) {
+  T* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return fresh.release();
   }
-  return *slot;
+  return expected;
+}
+
+std::atomic<PhysMem::Page*>* PhysMem::Slot(uint64_t page_index,
+                                           bool create) const {
+  std::atomic<Leaf*>& leaf_slot = leaves_[page_index >> kLeafShift];
+  Leaf* leaf = leaf_slot.load(std::memory_order_acquire);
+  if (leaf == nullptr) {
+    if (!create) {
+      return nullptr;
+    }
+    leaf = InstallOnce(leaf_slot, std::make_unique<Leaf>());
+  }
+  return &leaf->pages[page_index & (kLeafPages - 1)];
+}
+
+PhysMem::Page& PhysMem::PageFor(Pa pa) {
+  std::atomic<Page*>& slot = *Slot(pa.PageIndex(), /*create=*/true);
+  Page* page = slot.load(std::memory_order_acquire);
+  if (page == nullptr) {
+    page = InstallOnce(slot, std::make_unique<Page>());  // zero-filled
+  }
+  return *page;
 }
 
 const PhysMem::Page* PhysMem::PageForRead(Pa pa) const {
-  MutexLock lock(pages_mu_);
-  auto it = pages_.find(pa.PageIndex());
-  return it == pages_.end() ? nullptr : it->second.get();
+  const std::atomic<Page*>* slot = Slot(pa.PageIndex(), /*create=*/false);
+  return slot == nullptr ? nullptr : slot->load(std::memory_order_acquire);
 }
 
 void PhysMem::MarkDirty(uint64_t page_index) {
-  MutexLock lock(pages_mu_);
-  dirty_.insert(page_index);
+  dirty_[page_index >> 6].fetch_or(uint64_t{1} << (page_index & 63),
+                                   std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> PhysMem::ResidentPageIndices() const {
   std::vector<uint64_t> out;
-  {
-    MutexLock lock(pages_mu_);
-    out.reserve(pages_.size());
-    for (const auto& [index, page] : pages_) {
-      out.push_back(index);
+  for (uint64_t l = 0; l < num_leaves(); ++l) {
+    const Leaf* leaf = leaves_[l].load(std::memory_order_acquire);
+    if (leaf == nullptr) {
+      continue;
+    }
+    for (uint64_t i = 0; i < kLeafPages; ++i) {
+      if (leaf->pages[i].load(std::memory_order_acquire) != nullptr) {
+        out.push_back((l << kLeafShift) | i);
+      }
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool PhysMem::ReadPage(uint64_t page_index,
                        std::array<uint8_t, kPageSize>* out) const {
-  CheckRange(Pa(page_index << kPageShift), kPageSize);
-  MutexLock lock(pages_mu_);
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) {
+  Pa base(page_index << kPageShift);
+  CheckRange(base, kPageSize);
+  const Page* page = PageForRead(base);
+  if (page == nullptr) {
     return false;
   }
-  *out = *it->second;
+  *out = *page;
   return true;
 }
 
@@ -79,23 +114,48 @@ void PhysMem::WritePage(uint64_t page_index, const uint8_t* data) {
 
 void PhysMem::DropPage(uint64_t page_index) {
   CheckRange(Pa(page_index << kPageShift), kPageSize);
-  MutexLock lock(pages_mu_);
-  pages_.erase(page_index);
+  std::atomic<Page*>* slot = Slot(page_index, /*create=*/false);
+  if (slot != nullptr) {
+    delete slot->exchange(nullptr, std::memory_order_acq_rel);
+  }
   if (dirty_enabled_) {
-    dirty_.insert(page_index);
+    MarkDirty(page_index);
   }
 }
 
+void PhysMem::DropAllPages() {
+  for (uint64_t l = 0; l < num_leaves(); ++l) {
+    Leaf* leaf = leaves_[l].load(std::memory_order_acquire);
+    if (leaf == nullptr) {
+      continue;
+    }
+    for (std::atomic<Page*>& slot : leaf->pages) {
+      delete slot.exchange(nullptr, std::memory_order_acq_rel);
+    }
+  }
+  DrainDirtyPages();
+}
+
 void PhysMem::SetDirtyTracking(bool on) {
-  MutexLock lock(pages_mu_);
+  if (on && dirty_ == nullptr) {
+    dirty_ = std::make_unique<std::atomic<uint64_t>[]>(dirty_words());
+  }
   dirty_enabled_ = on;
-  dirty_.clear();
+  DrainDirtyPages();
 }
 
 std::vector<uint64_t> PhysMem::DrainDirtyPages() {
-  MutexLock lock(pages_mu_);
-  std::vector<uint64_t> out(dirty_.begin(), dirty_.end());
-  dirty_.clear();
+  std::vector<uint64_t> out;
+  if (dirty_ == nullptr) {
+    return out;
+  }
+  for (uint64_t w = 0; w < dirty_words(); ++w) {
+    uint64_t bits = dirty_[w].exchange(0, std::memory_order_relaxed);
+    while (bits != 0) {
+      out.push_back(w * 64 + static_cast<uint64_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
   return out;
 }
 
@@ -176,9 +236,7 @@ Pa PageAllocator::AllocPage() {
     page = Pa(next_);
     next_ += kPageSize;
   }
-  // Zero outside the lock: the page is ours, and ZeroPage takes the
-  // phys-pages lock ("mem.page_alloc" before "mem.phys_pages" would
-  // otherwise become an acquisition-graph edge for no reason).
+  // Zero outside the lock: the page is ours.
   mem_->ZeroPage(page);
   return page;
 }

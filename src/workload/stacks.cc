@@ -101,6 +101,20 @@ std::vector<Status> ArmStack::RunSmp(std::vector<GuestMain> bodies,
   NEVE_CHECK_MSG(n >= 1 && n <= machine_->num_cpus(),
                  "one body per vCPU, at most one per pCPU");
   std::vector<Status> statuses(static_cast<size_t>(n), Status::Ok());
+  // The engine refuses both (SmpEngine::Run checks them again); a caller's
+  // configuration mistake fails the run, not the process.
+  if (machine_->obs().enabled()) {
+    statuses.assign(statuses.size(),
+                    Status::FailedPrecondition(
+                        "RunSmp requires the observability layer disabled"));
+    return statuses;
+  }
+  if (machine_->config().fault.enabled) {
+    statuses.assign(statuses.size(),
+                    Status::FailedPrecondition(
+                        "RunSmp is incompatible with fault injection"));
+    return statuses;
+  }
 
   if (!cfg_.nested) {
     for (int k = 0; k < n; ++k) {

@@ -61,8 +61,9 @@ class ArmStack {
   // every `threads` value. Nested stacks boot the guest hypervisor on lane 0
   // (the engine's admission gate makes the boot happen-before every sibling)
   // and run one L2 vCPU per lane. Bodies coordinate with
-  // GuestEnv::SmpWaitUntil; observability and fault injection must be off.
-  // Returns lane k's confined-fault status (or OK) at index k.
+  // GuestEnv::SmpWaitUntil. Returns lane k's confined-fault status (or OK)
+  // at index k; with observability or fault injection on, nothing runs and
+  // every lane reports FailedPrecondition.
   std::vector<Status> RunSmp(std::vector<GuestMain> bodies, int threads);
 
   // A canonical SMP body: `rounds` all-to-all IPI rendezvous. Each round,

@@ -153,6 +153,42 @@ TEST(SmpTest, FourVcpuNestedRendezvousCompletes) {
   }
 }
 
+TEST(SmpTest, ObservedOrFaultInjectedStackFailsEveryLaneAndSurvives) {
+  // The engine cannot run lanes under the obs layer or a fault campaign;
+  // RunSmp reports that per lane instead of aborting the process.
+  constexpr int kVcpus = 4;
+  auto rendezvous = [](ArmStack& stack) {
+    std::vector<GuestMain> bodies;
+    for (int k = 0; k < kVcpus; ++k) {
+      bodies.push_back(stack.MakeIpiRendezvous(k, kVcpus, /*rounds=*/2));
+    }
+    return stack.RunSmp(std::move(bodies), /*threads=*/2);
+  };
+  ArmStack observed(StackConfig::NestedNeve(true), kVcpus);
+  observed.machine().obs().set_enabled(true);
+  std::vector<Status> statuses = rendezvous(observed);
+  ASSERT_EQ(statuses.size(), static_cast<size_t>(kVcpus));
+  for (const Status& s : statuses) {
+    EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_THAT(s.message(), HasSubstr("observability"));
+  }
+
+  StackConfig faulty = StackConfig::NestedNeve(true);
+  faulty.fault.enabled = true;
+  faulty.fault.seed = 1;
+  ArmStack injected(faulty, kVcpus);
+  for (const Status& s : rendezvous(injected)) {
+    EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition);
+    EXPECT_THAT(s.message(), HasSubstr("fault injection"));
+  }
+
+  // Nothing ran, so the stack is still usable once the obs layer is off.
+  observed.machine().obs().set_enabled(false);
+  for (const Status& s : rendezvous(observed)) {
+    EXPECT_TRUE(s.ok()) << s.message();
+  }
+}
+
 // --- shadow Stage-2 invalidation broadcast --------------------------------------
 
 TEST(SmpTest, GuestTlbiBroadcastsShadowS2FlushToAllVcpus) {

@@ -3,12 +3,13 @@
 #
 #   tools/ci.sh            run the full matrix (Release, asan, ubsan, tsan)
 #   tools/ci.sh release    run a single named configuration
-#   tools/ci.sh asan
+#   tools/ci.sh asan       (also compiles the lock-order detector in)
 #   tools/ci.sh ubsan
 #   tools/ci.sh tsan       ThreadSanitizer build + the multithreaded
-#                          workloads: bench fan-out, obsreport and stackfuzz
-#                          at --threads=8, plus a --threads byte-identity
-#                          check on the bench output
+#                          workloads: bench fan-out, phys_mem_test's
+#                          concurrent page first-touch, obsreport and
+#                          stackfuzz at --threads=8, plus a --threads
+#                          byte-identity check on the bench output
 #   tools/ci.sh tidy       clang-tidy over src/ (skipped when not installed)
 #   tools/ci.sh smoke      simcore_gbench smoke (BENCH_simcore.json), the
 #                          guest-ops/sec perf ratchet (tools/perf_ratchet.txt)
@@ -78,8 +79,13 @@ run_release() {
   run_config release -DCMAKE_BUILD_TYPE=Release
 }
 
+# The asan build also forces the lock-order detector on (it follows NDEBUG
+# otherwise, so Release and RelWithDebInfo leave it out): the whole suite,
+# its chaos and fuzz ctests, and the chaos and migrate stages that reuse
+# this build run with it.
 run_asan() {
-  run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DNEVE_SANITIZE=address"
+  run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DNEVE_SANITIZE=address" \
+    -DNEVE_LOCK_ORDER=ON
 }
 
 run_ubsan() {
@@ -100,7 +106,7 @@ run_tsan() {
     "-DNEVE_SANITIZE=thread" >/dev/null
   cmake --build "$build_dir" -j "$JOBS" --target \
     table1_micro_v83 fig2_applications smp_hackbench obsreport \
-    stackfuzz >/dev/null
+    stackfuzz phys_mem_test >/dev/null
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -117,6 +123,8 @@ run_tsan() {
   "$build_dir/bench/smp_hackbench" --threads=8 >"$tmp/smp.mt.txt"
   "$build_dir/bench/smp_hackbench" --threads=1 >"$tmp/smp.serial.txt"
   cmp "$tmp/smp.mt.txt" "$tmp/smp.serial.txt"
+  echo "==> [tsan] PhysMem: 8 threads first-touching shared and distinct pages"
+  "$build_dir/tests/phys_mem_test" >/dev/null
   echo "==> [tsan] obsreport run --threads=8"
   "$build_dir/tools/obsreport" run --stack=neve --threads=8 \
     --out="$tmp/obsreport.json" >/dev/null
@@ -128,9 +136,10 @@ run_tsan() {
 
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
-# from-scratch checker, enforce the guest-ops/sec floors against the batch
-# engine (tools/perf_ratchet.txt; two extra GuestOpsBurst-only runs make the
-# check best-of-3 so one noisy run can't flake it), and prove the resolution
+# from-scratch checker, enforce the floors in tools/perf_ratchet.txt (batch
+# engine guest-ops/sec, guest memory, hypercalls, stack construction; two
+# extra runs of just those benchmarks make the check best-of-3 so one noisy
+# run can't flake it), and prove the resolution
 # fast-path cache is behaviour-preserving by byte-comparing archlint's full
 # resolution matrix dumped with the cache on and off.
 run_smoke() {
@@ -148,10 +157,12 @@ run_smoke() {
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
-  echo "==> [smoke] guest-ops/sec perf ratchet (best-of-3)"
-  "$build_dir/bench/simcore_gbench" --benchmark_filter=GuestOpsBurst \
+  echo "==> [smoke] perf ratchet (best-of-3)"
+  local ratchet_filter='GuestOpsBurst|GuestMemoryAccess|VmHypercall'
+  ratchet_filter+='|NestedHypercall(V83|Neve)$|StackConstruction'
+  "$build_dir/bench/simcore_gbench" --benchmark_filter="$ratchet_filter" \
     --json="$tmp/ratchet1.json" >/dev/null
-  "$build_dir/bench/simcore_gbench" --benchmark_filter=GuestOpsBurst \
+  "$build_dir/bench/simcore_gbench" --benchmark_filter="$ratchet_filter" \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"
@@ -175,7 +186,7 @@ run_chaos() {
       case "$name" in
         asan)  cmake -B "$build_dir" -S "$ROOT" \
                  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-                 "-DNEVE_SANITIZE=address" >/dev/null ;;
+                 "-DNEVE_SANITIZE=address" -DNEVE_LOCK_ORDER=ON >/dev/null ;;
         ubsan) cmake -B "$build_dir" -S "$ROOT" \
                  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
                  "-DNEVE_SANITIZE=undefined" >/dev/null ;;
@@ -207,7 +218,7 @@ run_migrate() {
                    -DCMAKE_BUILD_TYPE=Release >/dev/null ;;
         asan)    cmake -B "$build_dir" -S "$ROOT" \
                    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-                   "-DNEVE_SANITIZE=address" >/dev/null ;;
+                   "-DNEVE_SANITIZE=address" -DNEVE_LOCK_ORDER=ON >/dev/null ;;
       esac
       cmake --build "$build_dir" -j "$JOBS" \
         --target chaos migrate_downtime bench_json_check >/dev/null
