@@ -5,6 +5,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -136,9 +137,14 @@ TEST(HostKvmTest, VirtualEl2RequiresNvHardware) {
 
 // --- nested virtualization ----------------------------------------------------------
 
+// gtest prints a parameter's raw bytes into each registered test name, so
+// the padding before `name` is an explicit zeroed member: left as padding,
+// its indeterminate bytes changed the names from one test discovery to the
+// next.
 struct NestedParam {
   bool neve;
   bool vhe;
+  uint8_t zero_pad[6];
   const char* name;
 };
 
@@ -239,10 +245,10 @@ TEST_P(NestedTest, TrapCountsShowExitMultiplication) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, NestedTest,
-    testing::Values(NestedParam{false, false, "V83NonVhe"},
-                    NestedParam{false, true, "V83Vhe"},
-                    NestedParam{true, false, "NeveNonVhe"},
-                    NestedParam{true, true, "NeveVhe"}),
+    testing::Values(NestedParam{false, false, {}, "V83NonVhe"},
+                    NestedParam{false, true, {}, "V83Vhe"},
+                    NestedParam{true, false, {}, "NeveNonVhe"},
+                    NestedParam{true, true, {}, "NeveVhe"}),
     [](const testing::TestParamInfo<NestedParam>& info) {
       return info.param.name;
     });
