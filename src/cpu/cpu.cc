@@ -240,6 +240,14 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
   return r;
 }
 
+void Cpu::SwitchMemo(AttrCat cat) {
+  if (attr_shard_ != nullptr) {
+    CycleAttribution::Rememo(*attr_shard_, cat);
+  } else {
+    unattributed_.memo_cat = static_cast<uint8_t>(cat);
+  }
+}
+
 uint64_t Cpu::SysRegRead(SysReg enc) {
   AccessResolution r = ResolveCached(enc, /*is_write=*/false);
   switch (r.kind) {
